@@ -70,10 +70,14 @@ perfdiff:
 # then the flat top-10. EXPERIMENTS.md ("Profiling the hot path") holds
 # the committed table; refresh it from this output after hot-path work.
 # PROFILE_BENCH=BenchmarkFig9Warm profiles the warm-reuse mode instead.
+# The test binary and cpu.pprof go to a fresh temp directory, whose path
+# is printed for further `go tool pprof` sessions.
 PROFILE_BENCH ?= BenchmarkFig9
 profile:
-	$(GO) test -run '^$$' -bench '$(PROFILE_BENCH)$$' -benchtime 1x -cpuprofile cpu.pprof -o bulksc.test .
-	$(GO) tool pprof -top -nodecount=10 bulksc.test cpu.pprof
+	@dir=$$(mktemp -d) && \
+	$(GO) test -run '^$$' -bench '$(PROFILE_BENCH)$$' -benchtime 1x -cpuprofile $$dir/cpu.pprof -o $$dir/bulksc.test . && \
+	$(GO) tool pprof -top -nodecount=10 $$dir/bulksc.test $$dir/cpu.pprof && \
+	echo "profile: $$dir/bulksc.test $$dir/cpu.pprof"
 
 # Regenerate the golden determinism table — ONLY after a deliberate
 # behavioral change; performance-only PRs must leave it untouched.

@@ -123,6 +123,56 @@ func TestTraceHashNeutral(t *testing.T) {
 	}
 }
 
+// TestTraceMatchesEncodingJSON exports full radix traces of both record
+// shapes and requires every line to be byte-identical to an encoding/json
+// re-encode of the record it decodes to: the writer's hand-written
+// records keep encoding/json's field order, omitempty and number text.
+func TestTraceMatchesEncodingJSON(t *testing.T) {
+	for _, label := range []string{"bulk-dypvt", "sc"} {
+		for _, m := range goldenModels() {
+			if m.Label != label {
+				continue
+			}
+			cfg := goldenConfig("radix")
+			m.Mut(&cfg)
+			var buf bytes.Buffer
+			cfg.TraceWriter = &buf
+			if _, err := Run(cfg); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			lines := bytes.SplitAfter(buf.Bytes(), []byte("\n"))
+			if len(lines) < 3 {
+				t.Fatalf("%s: trace has %d lines", label, len(lines))
+			}
+			for i, line := range lines[:len(lines)-1] {
+				var probe struct{ Kind string }
+				if err := json.Unmarshal(line, &probe); err != nil {
+					t.Fatalf("%s line %d: %v", label, i+1, err)
+				}
+				var rec any
+				switch probe.Kind {
+				case history.KindHeader:
+					rec = new(history.Header)
+				case history.KindChunk:
+					rec = new(history.ChunkRec)
+				case history.KindAccess:
+					rec = new(history.AccessRec)
+				}
+				if err := json.Unmarshal(line, rec); err != nil {
+					t.Fatalf("%s line %d: %v", label, i+1, err)
+				}
+				want, err := json.Marshal(rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want = append(want, '\n'); !bytes.Equal(line, want) {
+					t.Fatalf("%s line %d:\n got %s\nwant %s", label, i+1, line, want)
+				}
+			}
+		}
+	}
+}
+
 // TestMutatedTraceCaught corrupts an exported golden trace three ways —
 // value corruption, swapped commit orders, broken atomicity — and
 // asserts the offline checker catches each class. This is the end-to-end

@@ -30,6 +30,27 @@
 // kinds and unknown header versions are errors, unknown *fields* are
 // ignored so the format can grow.
 //
+// Read accepts what encoding/json would decode into these types, and
+// nothing else (FuzzHistoryReader holds it to that):
+//
+//   - each non-blank line is exactly one JSON object — strict JSON, no
+//     trailing data, nesting at most 10000 deep;
+//   - keys match fields case-insensitively (Unicode simple folding, so
+//     "KIND" and "Kind" are "kind"), escaped or not; a repeated key's last
+//     value wins;
+//   - unknown fields, and the fields of the other record shape, are
+//     ignored whatever JSON value they hold;
+//   - a known field must hold its type: a string kind, booleans for
+//     store/fwd, integers that fit for the rest (no fraction or exponent,
+//     no sign on the unsigned seq/order/po/addr/val), an array of objects
+//     for ops;
+//   - null leaves a field as it was — its zero value, unless the key
+//     came earlier in the line — except that "ops":null makes ops a nil
+//     slice; "ops":[] is an empty non-nil one.
+//
+// Chunk and access records are decoded and encoded by hand; the header,
+// one line per file, goes through encoding/json.
+//
 // Export is wired behind core.Config.TraceWriter and `sweep -exp trace
 // -trace-out`; it is pure observation — the writer hooks the same commit
 // and perform instants the online witness checker audits, adds no

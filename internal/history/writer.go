@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"strconv"
 
 	"bulksc/internal/chunk"
 	"bulksc/internal/mem"
@@ -16,44 +17,42 @@ import (
 // call becomes a no-op, so the hot hooks never need per-call error
 // handling; the machine surfaces Close's error once, at end of run.
 //
+// Chunk and access records are appended by hand into one reused line
+// buffer, byte for byte what encoding/json writes for ChunkRec and
+// AccessRec (TestWriterMatchesEncodingJSON), without allocating; the
+// header, once per file, goes through encoding/json so its strings are
+// escaped exactly as before.
+//
 // A Writer is not safe for concurrent use; the simulator is
 // single-goroutine per machine.
 //
 // The encode path deliberately carries no //sim:hotpath annotation:
-// JSON encoding allocates by nature, and tracing is opt-in observation
-// that is off for every golden, perf and sweep configuration — the
-// allocation discipline applies to the machine, not to its export taps.
-// TestTraceHashNeutral pins that the taps perturb nothing; perf-relevant
-// runs never construct a Writer at all.
+// tracing is opt-in observation that is off for every golden, perf and
+// sweep configuration — the allocation discipline applies to the machine,
+// not to its export taps. TestTraceHashNeutral pins that the taps perturb
+// nothing; perf-relevant runs never construct a Writer at all.
 //
 //sim:observer
 type Writer struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
-	err error
+	bw   *bufio.Writer
+	line []byte // the record being appended, reused
+	err  error
 }
 
 // NewWriter returns a streaming NDJSON writer over w.
 func NewWriter(w io.Writer) *Writer {
-	bw := bufio.NewWriter(w)
-	return &Writer{bw: bw, enc: json.NewEncoder(bw)}
-}
-
-// record encodes one record as a single NDJSON line (json.Encoder appends
-// the newline).
-func (t *Writer) record(v any) {
-	if t.err != nil {
-		return
-	}
-	t.err = t.enc.Encode(v)
+	return &Writer{bw: bufio.NewWriter(w)}
 }
 
 // Header writes the history header. Version and Format are filled in.
 func (t *Writer) Header(h Header) {
+	if t.err != nil {
+		return
+	}
 	h.Kind = KindHeader
 	h.Version = Version
 	h.Format = Format
-	t.record(&h)
+	t.err = json.NewEncoder(t.bw).Encode(&h)
 }
 
 // Chunk writes one committed chunk's record from the live chunk state.
@@ -62,26 +61,64 @@ func (t *Writer) Chunk(ch *chunk.Chunk) {
 	if t.err != nil {
 		return
 	}
-	rec := ChunkRec{
-		Kind:  KindChunk,
-		Proc:  ch.Proc,
-		Seq:   ch.Seq,
-		Order: ch.CommitOrder,
-		Ops:   make([]Op, len(ch.Log)),
-	}
+	t.line = t.line[:0]
+	t.putInt(`{"kind":"chunk","proc":`, ch.Proc)
+	t.putUint(`,"seq":`, ch.Seq)
+	t.putUint(`,"order":`, ch.CommitOrder)
+	t.line = append(t.line, `,"ops":[`...)
 	for i, a := range ch.Log {
-		rec.Ops[i] = Op{Store: a.IsStore, Addr: uint64(a.Addr), Val: a.Value}
+		if i > 0 {
+			t.line = append(t.line, ',')
+		}
+		t.op(a.IsStore, uint64(a.Addr), a.Value)
 	}
-	t.record(&rec)
+	t.flush("]}\n")
 }
 
 // Access writes one conventional architectural access record. Call at the
 // perform instant, in perform order.
 func (t *Writer) Access(proc int, po uint64, store bool, a mem.Addr, v uint64, fwd bool) {
-	t.record(&AccessRec{
-		Kind: KindAccess, Proc: proc, PO: po, Store: store,
-		Addr: uint64(a), Val: v, Fwd: fwd,
-	})
+	if t.err != nil {
+		return
+	}
+	t.line = t.line[:0]
+	t.putInt(`{"kind":"access","proc":`, proc)
+	t.putUint(`,"po":`, po)
+	if store {
+		t.line = append(t.line, `,"store":true`...)
+	}
+	t.putUint(`,"addr":`, uint64(a))
+	t.putUint(`,"val":`, v)
+	if fwd {
+		t.line = append(t.line, `,"fwd":true`...)
+	}
+	t.flush("}\n")
+}
+
+// op appends one ops element; store is omitted when false.
+func (t *Writer) op(store bool, addr, val uint64) {
+	if store {
+		t.putUint(`{"store":true,"addr":`, addr)
+	} else {
+		t.putUint(`{"addr":`, addr)
+	}
+	t.putUint(`,"val":`, val)
+	t.line = append(t.line, '}')
+}
+
+// putInt and putUint append text (a key and its punctuation) and a number.
+func (t *Writer) putInt(text string, v int) {
+	t.line = strconv.AppendInt(append(t.line, text...), int64(v), 10)
+}
+
+func (t *Writer) putUint(text string, v uint64) {
+	t.line = strconv.AppendUint(append(t.line, text...), v, 10)
+}
+
+// flush appends the record's closing text and writes the line.
+func (t *Writer) flush(end string) {
+	t.line = append(t.line, end...)
+	_, t.err = t.bw.Write(t.line)
 }
 
 // Close flushes buffered records and returns the first error encountered
