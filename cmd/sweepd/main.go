@@ -14,7 +14,7 @@
 //
 // API (see DESIGN.md §15 and EXPERIMENTS.md for curl recipes):
 //
-//	POST   /sweep        {"exp":"fig9","apps":["radix"],"work":4000}
+//	POST   /sweep        {"exp":"fig9","apps":["radix"],"work":4000} (≤ 64 KiB, else 413)
 //	GET    /result/{id}  status, then the terminal result envelope
 //	GET    /stream/{id}  SSE progress (?format=ndjson for NDJSON lines)
 //	DELETE /job/{id}     cancel a queued or running job
@@ -49,6 +49,15 @@ import (
 	"time"
 
 	"bulksc/internal/sweepsrv"
+)
+
+// Connection timeouts. ReadHeaderTimeout drops a client that opens a
+// connection and never finishes its request headers; IdleTimeout closes
+// keep-alive connections left unused. Neither bounds a response, so
+// progress streams may stay open for as long as their job runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -118,7 +127,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "sweepd:", err)
 		return 1
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	// The resolved address line is a contract: tests (and scripts) listen

@@ -1,8 +1,14 @@
 // Package chunk holds the per-chunk speculative state of BulkSC: the R, W
 // and Wpriv signatures, the exact line sets that back the signatures (used
 // to apply commits, to classify aliased squashes and to compute Table 3's
-// set sizes), the speculative write buffer, and the load/store logs that
-// feed the SC replay checker.
+// set sizes), the speculative write buffer, and the load/store access log.
+//
+// The access log is not hardware state: BulkSC keeps only signatures and
+// speculative lines. It exists for the simulator's three observers of
+// committed chunks — the SC replay checker (core's CheckSC), the online
+// SC-witness checker (internal/sccheck) and the NDJSON history writer
+// (internal/history) — and a chunk records it only when one of them is
+// attached to the run (see NoLog).
 //
 // A chunk is created at a checkpoint, accumulates accesses while the
 // processor executes it, then either commits (its buffered writes become
@@ -94,8 +100,14 @@ type Chunk struct {
 	// visible to other chunks until commit).
 	WriteBuf lineset.Map
 
-	// Log is the program-order access log for the replay checker.
+	// Log is the program-order access log read by the replay checker, the
+	// witness checker and the history writer. It is recorded only when
+	// NoLog is false, i.e. when one of those observers is attached.
 	Log []AccessRec
+	// NoLog suppresses Log recording for a run nothing observes. The
+	// zero value logs; the owning processor stamps it on every chunk it
+	// acquires, so a recycled chunk follows the current run's setting.
+	NoLog bool
 
 	// Pending counts line fills requested by this chunk that have not
 	// arrived; arbitration may not start until it reaches zero.
@@ -161,7 +173,7 @@ func (c *Chunk) init(proc int, seq uint64, slot, pos, target int) {
 
 // RecordLoad notes a load of a and the value it observed. The R signature
 // is updated unless private (the stpvt optimization skips R updates for
-// statically-private data).
+// statically-private data). v is logged only when the chunk logs.
 //
 //sim:hotpath
 func (c *Chunk) RecordLoad(a mem.Addr, v uint64, private bool) {
@@ -173,7 +185,9 @@ func (c *Chunk) RecordLoad(a mem.Addr, v uint64, private bool) {
 			c.Sum.Add(l)
 		}
 	}
-	c.Log = append(c.Log, AccessRec{Addr: a, Value: v})
+	if !c.NoLog {
+		c.Log = append(c.Log, AccessRec{Addr: a, Value: v})
+	}
 }
 
 // RecordStore buffers a speculative store. If priv, the write goes to
@@ -194,7 +208,9 @@ func (c *Chunk) RecordStore(a mem.Addr, v uint64, priv bool) {
 		}
 	}
 	c.WriteBuf.Put(a.Align(), v)
-	c.Log = append(c.Log, AccessRec{IsStore: true, Addr: a, Value: v})
+	if !c.NoLog {
+		c.Log = append(c.Log, AccessRec{IsStore: true, Addr: a, Value: v})
+	}
 }
 
 // PromoteToW moves line l from Wpriv to W, the "add back" step when a

@@ -39,6 +39,41 @@ func TestPrivateLoadSkipsR(t *testing.T) {
 	}
 }
 
+// TestUnloggedChunkRecordsNothing: with NoLog set the access log stays
+// empty while everything the protocol reads — signatures, exact sets and
+// the write buffer — is recorded as before.
+func TestUnloggedChunkRecordsNothing(t *testing.T) {
+	c := newChunk(sig.KindExact)
+	c.NoLog = true
+	c.RecordLoad(0x1000, 7, false)
+	c.RecordStore(0x2000, 11, false)
+	c.RecordStore(0x3000, 22, true)
+	if len(c.Log) != 0 {
+		t.Fatalf("unlogged chunk logged %d accesses", len(c.Log))
+	}
+	if !c.RSet.Has(mem.Addr(0x1000).LineOf()) || !c.WSet.Has(mem.Addr(0x2000).LineOf()) ||
+		!c.PrivSet.Has(mem.Addr(0x3000).LineOf()) {
+		t.Fatal("unlogged chunk dropped a line from its exact sets")
+	}
+	if v, ok := c.Forward(0x2000); !ok || v != 11 {
+		t.Fatal("unlogged chunk lost a buffered store")
+	}
+}
+
+// TestZeroValueChunkLogs: NoLog's zero value logs, so chunks built
+// without a processor (checker and history tests) keep their logs.
+func TestZeroValueChunkLogs(t *testing.T) {
+	c := newChunk(sig.KindBloom)
+	if c.NoLog {
+		t.Fatal("New returned an unlogged chunk")
+	}
+	c.RecordLoad(0x1000, 7, false)
+	c.RecordStore(0x2000, 11, true)
+	if len(c.Log) != 2 || c.Log[0].Value != 7 || !c.Log[1].IsStore {
+		t.Fatalf("default chunk log = %+v, want the load and the store", c.Log)
+	}
+}
+
 func TestRecordStoreRouting(t *testing.T) {
 	c := newChunk(sig.KindExact)
 	c.RecordStore(0x1000, 11, false)

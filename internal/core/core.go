@@ -679,6 +679,9 @@ func (m *machine) addProc(cfg Config, id int, ins []workload.Instr) {
 			// retire list is write-only during the run, so the flag can
 			// never affect simulated behavior or the determinism hashes.
 			RetainCommitted: !cfg.CheckSC,
+			// Chunk access logs are recorded only for their consumers:
+			// the replay checker, the witness and the trace writer.
+			NoAccessLog: !cfg.CheckSC && !cfg.Witness && cfg.TraceWriter == nil,
 		}
 		var p *proc.BulkProc
 		if id < len(m.bulkPool) && m.bulkPool[id] != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bulksc/internal/fault"
+	"bulksc/internal/sig"
 )
 
 // faultedConfig is a small BSC_dypvt config for fault-injection tests.
@@ -61,6 +62,40 @@ func TestWatchdogCatchesLivelock(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "liveness watchdog") {
 		t.Errorf("error does not identify the watchdog: %v", err)
+	}
+}
+
+// TestWatchdogCatchesBlockedProc is a fault-free livelock the default
+// watchdog used to miss: proc 6 waits forever on a line fill that never
+// arrives, while the other seven spin at a barrier and keep committing
+// spin chunks. That trickle resets the global detector, and the blocked
+// processor collects no denials or squashes for the starvation detector.
+// The blocked detector must name it well before the cycle-limit backstop.
+func TestWatchdogCatchesBlockedProc(t *testing.T) {
+	cfg := DefaultConfig("radix")
+	cfg.Work = 400
+	cfg.Seed = 781746
+	cfg.ChunkSize = 4000
+	cfg.SigKind = sig.KindExact
+	cfg.CheckSC = false
+	cfg.Witness = false
+	cfg.MaxCycles = 4 * DefaultWatchdogWindow // backstop: the engine panics past it
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("the cycle limit, not the watchdog, ended the run: %v", r)
+		}
+	}()
+
+	_, err := Run(cfg)
+	var werr *WatchdogError
+	if !errors.As(err, &werr) {
+		t.Fatalf("error is not a WatchdogError: %v", err)
+	}
+	if werr.Kind != "blocked" || len(werr.Procs) != 1 || werr.Procs[0] != 6 {
+		t.Fatalf("verdict %s of procs %v, want blocked of [6]: %v", werr.Kind, werr.Procs, err)
+	}
+	if !strings.Contains(werr.Diag, "proc 6: blocked") {
+		t.Errorf("diagnostic does not name the blocked processor:\n%s", werr.Diag)
 	}
 }
 

@@ -25,13 +25,18 @@ const starvationMinEvents = 16
 type WatchdogError struct {
 	// Cycle is the engine time at which the stall was declared.
 	Cycle uint64
-	// Kind is "global-stall" (no commit progress machine-wide) or
-	// "starvation" (specific processors stuck in a deny/squash loop).
+	// Kind is "global-stall" (no commit progress machine-wide),
+	// "starvation" (specific processors stuck in a deny/squash loop) or
+	// "blocked" (specific processors doing nothing at all while others
+	// run; a verdict that names both starved and blocked processors is
+	// reported as "starvation").
 	Kind string
-	// Procs lists the starved processors (empty for a global stall).
+	// Procs lists the starved or blocked processors (empty for a global
+	// stall).
 	Procs []int
 	// Diag is a human-readable diagnostic: recent denied chunks and
-	// squash chains per starved processor plus arbiter occupancy.
+	// squash chains per starved processor, the interpreter state per
+	// blocked one, plus arbiter occupancy.
 	Diag string
 }
 
@@ -64,10 +69,22 @@ type watchdog struct {
 	commitsAt []uint64 // commit count at window start
 	eventsAt  []uint64 // denials+squashes at window start
 	startAt   []uint64 // cycle of window start
+
+	// Per-processor blocked detector. A processor that dispatches,
+	// commits, is denied and is squashed nothing for a full window waits
+	// on an event that never comes (say, a line fill that never arrives),
+	// while the others may keep committing spin chunks, which keeps the
+	// global detector quiet. A healthy processor is never idle that long:
+	// a spinning one dispatches spin iterations, a denied one collects
+	// denials, and a wait on the memory system lasts a few hundred cycles.
+	// activity is the sum of those four monotone counters, so it changes
+	// exactly when any of them does.
+	activityAt []uint64 // activity at the last change
+	idleSince  []uint64 // cycle of the last activity change
 }
 
 // startWatchdog attaches a watchdog to m and schedules its first poll.
-// The three per-proc trail arrays are carved out of the machine's
+// The five per-proc trail arrays are carved out of the machine's
 // wdScratch so a warm runner (and a big machine) does not reallocate them
 // every run; full slice expressions keep the sub-slices from growing into
 // each other.
@@ -76,18 +93,20 @@ func startWatchdog(m *machine, window uint64) {
 		window = DefaultWatchdogWindow
 	}
 	n := len(m.bulkProcs)
-	if cap(m.wdScratch) < 3*n {
-		m.wdScratch = make([]uint64, 3*n)
+	if cap(m.wdScratch) < 5*n {
+		m.wdScratch = make([]uint64, 5*n)
 	}
-	buf := m.wdScratch[:3*n]
+	buf := m.wdScratch[:5*n]
 	clear(buf)
 	m.wdScratch = buf
 	w := &watchdog{
-		m:         m,
-		window:    window,
-		commitsAt: buf[0*n : 1*n : 1*n],
-		eventsAt:  buf[1*n : 2*n : 2*n],
-		startAt:   buf[2*n : 3*n : 3*n],
+		m:          m,
+		window:     window,
+		commitsAt:  buf[0*n : 1*n : 1*n],
+		eventsAt:   buf[1*n : 2*n : 2*n],
+		startAt:    buf[2*n : 3*n : 3*n],
+		activityAt: buf[3*n : 4*n : 4*n],
+		idleSince:  buf[4*n : 5*n : 5*n],
 	}
 	interval := window / 4
 	if interval == 0 {
@@ -127,33 +146,48 @@ func (w *watchdog) check(now uint64) {
 		return
 	}
 
-	// Per-processor detector: a BulkSC processor that commits nothing for
-	// a full window while racking up denials and squashes is starved.
-	var starved []int
+	// Per-processor detectors: a BulkSC processor that commits nothing for
+	// a full window while racking up denials and squashes is starved; one
+	// that does nothing at all for a full window is blocked.
+	var stuck []int
+	kind := "blocked"
 	var diag strings.Builder
 	for i, p := range m.bulkProcs {
 		commits, denials, squashes := p.Progress()
 		events := denials + squashes
-		if commits != w.commitsAt[i] || p.Finished() {
+		if p.Finished() {
+			continue
+		}
+		if activity := commits + events + p.Dispatched(); activity != w.activityAt[i] {
+			w.activityAt[i] = activity
+			w.idleSince[i] = now
+		} else if now-w.idleSince[i] >= w.window {
+			stuck = append(stuck, p.ID())
+			fmt.Fprintf(&diag, "proc %d: blocked, nothing dispatched, committed, denied or squashed for %d cycles (totals: %d commits, %d dispatched) %s; ",
+				p.ID(), now-w.idleSince[i], commits, p.Dispatched(), p.DebugState())
+			continue
+		}
+		if commits != w.commitsAt[i] {
 			w.commitsAt[i] = commits
 			w.eventsAt[i] = events
 			w.startAt[i] = now
 			continue
 		}
 		if now-w.startAt[i] >= w.window && events-w.eventsAt[i] >= starvationMinEvents {
-			starved = append(starved, p.ID())
+			stuck = append(stuck, p.ID())
+			kind = "starvation"
 			//lint:observer LivenessTrail formats a fixed ring buffer read-only; the higher-order forEach iteration defeats the mutation summary
 			trail := p.LivenessTrail()
 			fmt.Fprintf(&diag, "proc %d: 0 commits for %d cycles, +%d denials/squashes (totals: %d commits, %d denials, %d squashes) trail: %s; ",
 				p.ID(), now-w.startAt[i], events-w.eventsAt[i], commits, denials, squashes, trail)
 		}
 	}
-	if len(starved) > 0 {
+	if len(stuck) > 0 {
 		//lint:observer verdict delivery: the store halts the run (Run's stop predicate); unreachable on any healthy execution, so goldens never see it
 		m.watchdogErr = &WatchdogError{
 			Cycle: now,
-			Kind:  "starvation",
-			Procs: starved,
+			Kind:  kind,
+			Procs: stuck,
 			Diag:  diag.String() + w.arbiterDiag(),
 		}
 	}

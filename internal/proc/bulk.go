@@ -34,6 +34,11 @@ type Opts struct {
 	// off); within a run retained chunks are never touched, so the flag
 	// cannot change simulated behavior.
 	RetainCommitted bool
+	// NoAccessLog turns off chunk access logging (chunk.Chunk.NoLog) for
+	// a run with no log consumer attached. The log and the load values
+	// that only feed it are never read by the simulated machine, so the
+	// flag cannot change simulated behavior.
+	NoAccessLog bool
 }
 
 // DefaultOpts returns the BSC_base configuration: RSig on, private-data
@@ -318,6 +323,12 @@ func (p *BulkProc) Progress() (commits, denials, squashes uint64) {
 	return p.commitCount, p.denyCount, p.squashCount
 }
 
+// Dispatched reports how many instructions the processor has dispatched,
+// squashed re-executions and spin iterations included. The core watchdog
+// reads it to tell a blocked processor (nothing dispatched, nothing
+// committed) from one that is waiting in a spin loop.
+func (p *BulkProc) Dispatched() uint64 { return p.dispatch }
+
 // LivenessTrail formats the last few denied chunks and squash events for
 // watchdog diagnostics.
 func (p *BulkProc) LivenessTrail() string { return p.trail.String() }
@@ -568,10 +579,15 @@ func (p *BulkProc) readValue(a mem.Addr) uint64 {
 //sim:hotpath
 func (p *BulkProc) doLoad(a mem.Addr) {
 	priv := p.opts.Stpvt && p.env.Pages.Private(a)
-	fwdVal, hadFwd := p.forwardValue(a)
-	v := fwdVal
-	if !hadFwd {
-		v = p.env.Mem.Load(a)
+	// The loaded value feeds only the access log (and its refresh at
+	// arrival), so an unlogged chunk skips the lookup.
+	var v uint64
+	hadFwd := false
+	if !p.cur.NoLog {
+		v, hadFwd = p.forwardValue(a)
+		if !hadFwd {
+			v = p.env.Mem.Load(a)
+		}
 	}
 	p.cur.RecordLoad(a, v, priv)
 	logIdx := len(p.cur.Log) - 1
@@ -874,7 +890,7 @@ func (p *BulkProc) runWaiters(r *fetchReq) {
 		case wLoad:
 			p.missComplete(w.idx)
 			if ch.Gen == w.gen && ch.State != chunk.Squashed {
-				if !w.hadFwd {
+				if !w.hadFwd && !ch.NoLog {
 					ch.Log[w.logIdx].Value = p.env.Mem.Load(w.a)
 				}
 				ch.Pending--

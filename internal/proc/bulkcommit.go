@@ -44,6 +44,7 @@ func (p *BulkProc) openChunk() bool {
 	p.chunkSeq++
 	ch := p.pool.Get(p.env.Sigs, &p.arena, p.id, p.chunkSeq, slot, p.f.pos, target)
 	ch.Sum = p.liveSum // mirror shared-line inserts into the live summary
+	ch.NoLog = p.opts.NoAccessLog
 	p.checkpoints[slot] = p.f.checkpoint()
 	p.slotBusy[slot] = true
 	p.chunks = append(p.chunks, ch)

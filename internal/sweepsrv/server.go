@@ -3,6 +3,7 @@ package sweepsrv
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -121,16 +122,39 @@ func (js *jobState) publish(ev Event) {
 	js.mu.Unlock()
 }
 
-// finish moves the job to a terminal state exactly once; later callers
-// (e.g. a cancel racing the worker) are no-ops. It appends the "done"
-// event, closes done, and releases the job's context.
-func (js *jobState) finish(status, cacheDis string, result []byte, errMsg string) bool {
+// finishJob moves js to a terminal state exactly once; later callers
+// (e.g. a cancel racing the worker) are no-ops. It counts the job in the
+// terminal counters, appends the "done" event, closes done, and releases
+// the job's context. The count is taken under js.mu, before any reader
+// can see the terminal status, so a client that has watched a job end
+// always finds it counted in /metrics. Lock order: js.mu, then s.mu;
+// nothing takes js.mu while holding s.mu.
+func (s *Server) finishJob(js *jobState, status, cacheDis string, result []byte, errMsg string) {
 	js.mu.Lock()
 	if js.status == StatusDone || js.status == StatusFailed ||
 		js.status == StatusCanceled || js.status == StatusAborted {
 		js.mu.Unlock()
-		return false
+		return
 	}
+	s.mu.Lock()
+	switch status {
+	case StatusDone:
+		s.completed++
+	case StatusFailed:
+		s.failed++
+	case StatusCanceled:
+		s.canceled++
+	case StatusAborted:
+		s.aborted++
+	}
+	// Retention window: the oldest finished job past RetainJobs is
+	// forgotten.
+	s.finished = append(s.finished, js.id)
+	if len(s.finished) > s.cfg.RetainJobs {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
+	s.mu.Unlock()
 	js.status = status
 	js.cacheDis = cacheDis
 	js.result = result
@@ -145,7 +169,6 @@ func (js *jobState) finish(status, cacheDis string, result []byte, errMsg string
 	close(js.done)
 	js.mu.Unlock()
 	js.cancel()
-	return true
 }
 
 // subscribe registers a kick channel; eventsFrom(i) then drains history.
@@ -251,9 +274,7 @@ func (s *Server) startJob(js *jobState) bool {
 	draining := s.draining
 	s.mu.Unlock()
 	if draining {
-		if js.finish(StatusAborted, "", nil, "server shutting down before job started") {
-			s.finishAccounting(js, StatusAborted)
-		}
+		s.finishJob(js, StatusAborted, "", nil, "server shutting down before job started")
 		return false
 	}
 	js.mu.Lock()
@@ -296,44 +317,16 @@ func (s *Server) execute(js *jobState, w *experiments.Worker) {
 		if js.ctx.Err() != nil {
 			status = StatusCanceled
 		}
-		if js.finish(status, "", nil, err.Error()) {
-			s.finishAccounting(js, status)
-		}
+		s.finishJob(js, status, "", nil, err.Error())
 		return
 	}
 	buf, merr := json.Marshal(out)
 	if merr != nil {
-		if js.finish(StatusFailed, "", nil, merr.Error()) {
-			s.finishAccounting(js, StatusFailed)
-		}
+		s.finishJob(js, StatusFailed, "", nil, merr.Error())
 		return
 	}
 	s.cache.Put(js.key, buf)
-	if js.finish(StatusDone, "miss", buf, "") {
-		s.finishAccounting(js, StatusDone)
-	}
-}
-
-// finishAccounting updates the terminal counters and the finished-job
-// retention window (the oldest finished job past RetainJobs is forgotten).
-func (s *Server) finishAccounting(js *jobState, status string) {
-	s.mu.Lock()
-	switch status {
-	case StatusDone:
-		s.completed++
-	case StatusFailed:
-		s.failed++
-	case StatusCanceled:
-		s.canceled++
-	case StatusAborted:
-		s.aborted++
-	}
-	s.finished = append(s.finished, js.id)
-	if len(s.finished) > s.cfg.RetainJobs {
-		delete(s.jobs, s.finished[0])
-		s.finished = s.finished[1:]
-	}
-	s.mu.Unlock()
+	s.finishJob(js, StatusDone, "miss", buf, "")
 }
 
 // Shutdown gracefully stops the service: new submissions are refused with
@@ -429,12 +422,23 @@ type SubmitResponse struct {
 	Cache  string `json:"cache"`
 }
 
+// maxSubmitBytes caps a POST /sweep body. A request names one experiment
+// and a few short lists, well under a kilobyte; anything past the cap is
+// answered 413 without being read further.
+const maxSubmitBytes = 64 << 10
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var raw Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&raw); err != nil {
 		s.countInvalid()
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{
+				Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}
@@ -473,8 +477,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.servedFromCache++
 		id := js.id
 		s.mu.Unlock()
-		js.finish(StatusDone, "hit", data, "")
-		s.finishAccounting(js, StatusDone)
+		s.finishJob(js, StatusDone, "hit", data, "")
 		writeJSON(w, http.StatusOK, SubmitResponse{ID: id, Key: key, Status: StatusDone, Cache: "hit"})
 		return
 	}
@@ -550,9 +553,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	switch status {
 	case StatusQueued:
 		// Terminal now; the worker that eventually dequeues it skips it.
-		if js.finish(StatusCanceled, "", nil, "canceled while queued") {
-			s.finishAccounting(js, StatusCanceled)
-		}
+		s.finishJob(js, StatusCanceled, "", nil, "canceled while queued")
 	case StatusRunning:
 		// The experiments layer observes the context between cells; the
 		// worker will finish the job as canceled.

@@ -343,6 +343,47 @@ func TestInvalidRequests(t *testing.T) {
 	}
 }
 
+// TestOversizedSubmit413: a body past maxSubmitBytes is refused with 413
+// without disturbing the server, which keeps serving the cached result of
+// an earlier job byte-identically and runs no cell for the refused one.
+func TestOversizedSubmit413(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	body := fmt.Sprintf(`{"exp":"fig10","apps":["radix"],"work":%d}`, testWork)
+	code, sub1, _ := submit(t, ts.URL, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("first submit: HTTP %d, want 202", code)
+	}
+	env1 := waitTerminal(t, ts.URL, sub1.ID)
+	if env1.Status != StatusDone {
+		t.Fatalf("first job ended %q (%s), want done", env1.Status, env1.Error)
+	}
+	before := getMetrics(t, ts.URL)
+
+	huge := `{"exp":"fig10","apps":["` + strings.Repeat("r", 2*maxSubmitBytes) + `"]}`
+	code, _, _ = submit(t, ts.URL, huge)
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit: HTTP %d, want 413", code)
+	}
+
+	code, sub2, _ := submit(t, ts.URL, body)
+	if code != http.StatusOK || sub2.Cache != "hit" {
+		t.Fatalf("resubmit after 413: HTTP %d %+v, want 200 cache hit", code, sub2)
+	}
+	env2 := waitTerminal(t, ts.URL, sub2.ID)
+	if !bytes.Equal(env1.Result, env2.Result) {
+		t.Fatalf("cached result changed after a 413:\n first: %s\nsecond: %s", env1.Result, env2.Result)
+	}
+	after := getMetrics(t, ts.URL)
+	if after.CellsExecuted != before.CellsExecuted {
+		t.Fatalf("cells executed %d -> %d across a refused submit and a cache hit",
+			before.CellsExecuted, after.CellsExecuted)
+	}
+	if after.RejectedInvalid != before.RejectedInvalid+1 {
+		t.Fatalf("rejected_invalid %d -> %d, want +1 for the oversized body",
+			before.RejectedInvalid, after.RejectedInvalid)
+	}
+}
+
 // TestNDJSONStream checks the ?format=ndjson variant: one JSON event per
 // line, same history, terminal close.
 func TestNDJSONStream(t *testing.T) {

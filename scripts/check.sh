@@ -1,10 +1,10 @@
 #!/bin/sh
 # The PR gate: formatting, static checks (go vet + the simlint invariant
-# passes), build, full tests, a fuzz-corpus smoke over the differential
-# targets (signatures, line sets, sharer sets, engine, history reader),
-# and the race detector over both the parallel sweep fan-out in
-# experiments/ and the litmus × model × fault torture matrix. Run from
-# the repository root (or via `make check`).
+# passes), build, full tests (the nested perfbench module included), a
+# fuzz-corpus smoke over the differential targets (signatures, line sets,
+# sharer sets, engine, history reader), and the race detector over both
+# the parallel sweep fan-out in experiments/ and the litmus × model ×
+# fault torture matrix. Run from the repository root (or via `make check`).
 #
 # Usage: scripts/check.sh [-fast]
 #
@@ -63,6 +63,12 @@ go build ./...
 
 echo "== go test =="
 go test ./...
+
+# perfbench/ is a nested module (bulksc/perfbench), so the root ./...
+# patterns above skip it; vet and test it here so an API change that
+# breaks the benchmark's build fails this gate.
+echo "== perfbench module (vet + tests) =="
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== fuzz smoke (checked-in corpus as regression tests) =="
 go test -run 'Fuzz' ./internal/sig ./internal/lineset ./internal/sharerset ./internal/sim ./internal/history
