@@ -1,9 +1,9 @@
 // Package poolflow implements the simlint pass that proves linear
 // ownership of pooled resources. The simulator recycles its hot objects —
-// chunks (chunk.Pool), signatures (sig.Recycler), slab-arena slices
-// (slab.Pool), directory map arenas, commit-request envelopes — and the
+// chunks (chunk.Pool), slab-arena slices (slab.Pool), directory map
+// arenas, commit-request envelopes, fetch-request records — and the
 // contract is linear: every object drawn from a pool must reach exactly
-// one release (Put/Adopt/Recycle) or one sanctioned escape on every path.
+// one release (Put and its kin) or one sanctioned escape on every path.
 // A path that drops an owned object leaks pool capacity (the PR-2
 // write-buffer leak and the PR-5 Adopt gating bug were exactly this); a
 // path that releases twice or touches the object after release corrupts

@@ -301,33 +301,11 @@ func (c *Chunk) String() string {
 // Only chunks with no live external references may be returned: in
 // practice the squash path, where the chunk's signatures were never handed
 // to the arbiter/directory pipeline (see proc's reqInFlight tracking).
-// Committed chunks are NOT pooled within a run — the replay checker and
-// timeline may retain them, and the directory may still be expanding
-// their W. Across runs, once the machine is quiescent, they re-enter the
-// pool through Adopt.
+// Committed chunks are never pooled — the replay checker and timeline may
+// retain them, and the directory may still be expanding their W — so they
+// become garbage once the last of those drops them.
 type Pool struct {
 	free []*Chunk
-
-	// SigRecycler, when set, receives the signatures Adopt and Drain
-	// drop instead of leaving them to the garbage collector (typically
-	// sig.Recycler.Recycle, which parks standard Blooms for the next
-	// run's factory and ignores everything else). Pure storage wiring:
-	// a recycled signature is cleared and geometry-fixed, so reuse is
-	// invisible to the simulation.
-	//lint:poolsafe machine-lifetime recycler wiring; storage sink only, never simulated state
-	SigRecycler func(sig.Signature)
-}
-
-// dropSigs detaches c's signatures, routing them through the recycler
-// when one is wired.
-func (p *Pool) dropSigs(c *Chunk) {
-	if p.SigRecycler != nil {
-		p.SigRecycler(c.R)
-		p.SigRecycler(c.W)
-		p.SigRecycler(c.Wpriv)
-	}
-	c.R, c.W, c.Wpriv = nil, nil, nil
-	c.Sum = nil
 }
 
 // Get returns a ready chunk, recycling a pooled one when available. A
@@ -371,34 +349,6 @@ func (p *Pool) Put(c *Chunk) {
 	p.free = append(p.free, c)
 }
 
-// Adopt places a chunk that COMMITTED in a now-finished run into the
-// pool, stripped to the same cold shape Drain produces: sets and write
-// buffer release their arrays to the arena, signatures are dropped (the
-// next Get rebuilds them from the next run's factory), and only the
-// struct, its Gen counter, its commit callbacks and the append-only Log
-// storage survive.
-//
-// Committed chunks can never be recycled WITHIN a run (the replay
-// checker, the witness and the directory pipeline may all hold them),
-// which is why Put refuses them; but between runs the machine is
-// quiescent, so the only reference that can outlive the run is
-// Result.Commits — the caller (core, via the processor's retire list)
-// asserts that run did not export them there. Adoption is
-// identity-neutral for the same reason Drain is: the adopted chunk is
-// indistinguishable from a drained one.
-//
-//sim:pool release
-func (p *Pool) Adopt(c *Chunk) {
-	c.Gen++
-	p.dropSigs(c)
-	c.RSet.Release()
-	c.WSet.Release()
-	c.PrivSet.Release()
-	c.WriteBuf.Release()
-	c.Log = c.Log[:0]
-	p.free = append(p.free, c)
-}
-
 // Drain prepares the pool for reuse across a warm machine reset
 // (DESIGN.md §11). Retaining pooled chunks as-is would violate the
 // cold/warm bit-identity contract: their open-addressed sets keep grown
@@ -417,7 +367,8 @@ func (p *Pool) Adopt(c *Chunk) {
 // checker and commit records do retain, are never pooled).
 func (p *Pool) Drain() {
 	for _, c := range p.free {
-		p.dropSigs(c)
+		c.R, c.W, c.Wpriv = nil, nil, nil
+		c.Sum = nil
 		c.RSet.Release()
 		c.WSet.Release()
 		c.PrivSet.Release()

@@ -333,16 +333,13 @@ func BenchmarkChunkAccessLoop(b *testing.B) {
 	}
 }
 
-// TestPoolAdopt exercises the cross-run retirement path: a committed
-// chunk re-enters the pool via Adopt, which must defuse stale callbacks
-// (Gen bump), route its signatures to the SigRecycler, restore its sets
-// to the cold zero-value shape, and leave the chunk ready for the next
-// run's Get to rebuild signatures from the current factory.
-func TestPoolAdopt(t *testing.T) {
+// TestPoolDrainRestoresColdShape checks the warm-reset path: Drain drops a
+// pooled chunk's signatures and returns its sets to the zero-value cold
+// shape, and the next Get rebuilds the signatures from the factory it is
+// given.
+func TestPoolDrainRestoresColdShape(t *testing.T) {
 	f := sig.NewFactory(sig.KindBloom)
 	var pool Pool
-	var recycled []sig.Signature
-	pool.SigRecycler = func(s sig.Signature) { recycled = append(recycled, s) }
 
 	c := pool.Get(f, nil, 0, 1, 0, 0, 1000)
 	for i := 0; i < 16; i++ {
@@ -350,37 +347,30 @@ func TestPoolAdopt(t *testing.T) {
 		c.RecordStore(a, uint64(i), i%2 == 0)
 		c.RecordLoad(a+4096, uint64(i), false)
 	}
-	c.State = Committed
-	gen := c.Gen
-	pool.Adopt(c)
+	pool.Put(c)
+	pool.Drain()
 
-	if c.Gen != gen+1 {
-		t.Fatalf("Adopt left Gen = %d, want %d (stale callbacks must be defused)", c.Gen, gen+1)
-	}
-	if len(recycled) != 3 {
-		t.Fatalf("Adopt routed %d signatures to SigRecycler, want 3 (R, W, Wpriv)", len(recycled))
-	}
 	if c.R != nil || c.W != nil || c.Wpriv != nil {
-		t.Fatal("Adopt retained detached signatures on the chunk")
+		t.Fatal("Drain retained signatures on the chunk")
 	}
 	if c.RSet.Len() != 0 || c.WSet.Len() != 0 || c.PrivSet.Len() != 0 || len(c.Log) != 0 {
-		t.Fatal("Adopt did not restore cold shape")
+		t.Fatal("Drain did not restore cold shape")
 	}
 
-	r := pool.Get(f, nil, 2, 5, 1, 3, 700)
+	r := pool.Get(sig.NewFactory(sig.KindExact), nil, 2, 5, 1, 3, 700)
 	if r != c {
-		t.Fatal("pool did not recycle the adopted chunk")
+		t.Fatal("pool did not recycle the drained chunk")
 	}
-	if r.R == nil || r.W == nil || r.Wpriv == nil {
-		t.Fatal("Get did not rebuild signatures for an adopted chunk")
+	if _, ok := r.R.(*sig.Exact); !ok {
+		t.Fatalf("Get rebuilt signatures of type %T, want the new factory's *sig.Exact", r.R)
 	}
 	if !r.R.Empty() || !r.W.Empty() || !r.Wpriv.Empty() {
 		t.Fatal("rebuilt signatures not empty")
 	}
 	if r.Proc != 2 || r.Seq != 5 || r.State != Executing {
-		t.Fatalf("adopted chunk not reinitialized: %+v", r)
+		t.Fatalf("drained chunk not reinitialized: %+v", r)
 	}
 	if _, ok := r.Forward(0); ok {
-		t.Fatal("adopted chunk forwards a stale value")
+		t.Fatal("drained chunk forwards a stale value")
 	}
 }

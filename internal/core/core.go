@@ -334,13 +334,6 @@ type machine struct {
 	// every arbiter; Reset zeroes it between runs.
 	order uint64
 
-	// sigRec recycles standard-Bloom signature objects across runs: the
-	// chunk pools feed dropped signatures back through Env.SigRecycle,
-	// and Reset wraps each run's factories so they draw from the parked
-	// set. A recycled Bloom is cleared and geometry-fixed — bit-identical
-	// to a fresh one — so this is storage recycling only.
-	sigRec sig.Recycler
-
 	// bulkProcs/convProcs are the processors of the CURRENT run, in id
 	// order; bulkPool/convPool are the per-id processor arenas that
 	// survive across runs (addProc resets and reuses pool[id] when it
@@ -432,13 +425,9 @@ func (m *machine) buildModules(n int) {
 // the dependency chain: engine first (drops any undrained events, which
 // may reference pooled protocol records), then the passive state (stats,
 // memory, pages, caches), then the protocol modules, then the per-run
-// wiring. Signature factories are created fresh per run rather than
-// retained: their pools are warm-start allocation state whose reuse could
-// not change behavior but whose recreation is cheap and keeps the
-// cold/warm equivalence argument trivial. Each run's factories are then
-// wrapped by the machine's signature recycler, which substitutes cleared
-// standard Blooms parked by previous runs for fresh allocations — an
-// object-identity substitution the simulation cannot observe.
+// wiring. The signature factory is built fresh per run, since its kind
+// and geometry are per-run config; it is stateless, so the directories and
+// the processors share one.
 func (m *machine) Reset(cfg Config) {
 	m.cfg = cfg
 	m.eng.Reset(cfg.Seed)
@@ -457,15 +446,10 @@ func (m *machine) Reset(cfg Config) {
 	}
 	m.l2.Reset()
 
-	// stdBloom: only the fixed-geometry Bloom may draw from the machine's
-	// signature recycler (see sig.Recycler); exact and tunable signatures
-	// pass through their factories untouched.
-	stdBloom := cfg.SigKind == sig.KindBloom && cfg.SigGeometry == nil
 	sigFactory := sig.NewFactory(cfg.SigKind)
 	if cfg.SigGeometry != nil && cfg.SigKind == sig.KindBloom {
 		sigFactory = sig.NewTunableFactory(*cfg.SigGeometry)
 	}
-	sigFactory = m.sigRec.Factory(sigFactory, stdBloom)
 	if len(m.dirs) != cfg.NumArbiters {
 		m.buildModules(cfg.NumArbiters)
 	} else {
@@ -490,11 +474,7 @@ func (m *machine) Reset(cfg Config) {
 
 	// The env closures route through m.dirs/m.arbs/m.garb dynamically, so
 	// they survive module rebuilds; only the value fields change per run.
-	m.env.Sigs = sig.NewFactory(cfg.SigKind)
-	if cfg.SigGeometry != nil && cfg.SigKind == sig.KindBloom {
-		m.env.Sigs = sig.NewTunableFactory(*cfg.SigGeometry)
-	}
-	m.env.Sigs = m.sigRec.Factory(m.env.Sigs, stdBloom)
+	m.env.Sigs = sigFactory
 	m.env.NProcs = cfg.Procs
 	m.env.Faults = cfg.Faults
 
@@ -542,10 +522,6 @@ func (m *machine) buildEnv() *proc.Env {
 		St:    m.st,
 		Mem:   m.memry,
 		Pages: m.pages,
-		// Chunk pools feed dropped signatures back to the machine's
-		// recycler at warm reset; Reset wraps the per-run factories so
-		// they draw from the parked set first.
-		SigRecycle: m.sigRec.Recycle,
 	}
 	// The directory internalizes the request hop and the reply delivery
 	// through pooled transaction records, so these wrappers are plain
@@ -674,11 +650,6 @@ func (m *machine) addProc(cfg Config, id int, ins []workload.Instr) {
 			Dypvt:           cfg.Dypvt,
 			Stpvt:           cfg.Stpvt,
 			PreArbThreshold: 6,
-			// Committed chunks may be recycled across runs unless this
-			// run exports them through Result.Commits (CheckSC). The
-			// retire list is write-only during the run, so the flag can
-			// never affect simulated behavior or the determinism hashes.
-			RetainCommitted: !cfg.CheckSC,
 			// Chunk access logs are recorded only for their consumers:
 			// the replay checker, the witness and the trace writer.
 			NoAccessLog: !cfg.CheckSC && !cfg.Witness && cfg.TraceWriter == nil,

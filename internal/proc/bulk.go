@@ -27,13 +27,6 @@ type Opts struct {
 	Stpvt bool
 	// PreArbThreshold is the squash streak that triggers pre-arbitration.
 	PreArbThreshold int
-	// RetainCommitted makes the processor keep its committed chunks on a
-	// retire list so the next warm Reset can recycle them (storage to the
-	// arena, husks to the chunk pool). The machine sets it only when the
-	// run exports no chunk references into its Result (i.e. CheckSC is
-	// off); within a run retained chunks are never touched, so the flag
-	// cannot change simulated behavior.
-	RetainCommitted bool
 	// NoAccessLog turns off chunk access logging (chunk.Chunk.NoLog) for
 	// a run with no log consumer attached. The log and the load values
 	// that only feed it are never read by the simulated machine, so the
@@ -70,19 +63,14 @@ type BulkProc struct {
 	chunkSeq uint64
 	storeSeq uint64
 
-	// pool recycles squashed chunks (never committed ones within a run —
-	// the replay checker and the directory pipeline may retain those;
-	// committed chunks re-enter the pool only across runs, via the
-	// retired list below). A chunk enters
-	// the pool only when no commit request of its is still in flight; all
-	// callbacks that can outlive a squash carry a Gen guard. Across warm
-	// machine resets the pool is Drained, not dropped: chunk structs and
-	// Log storage survive, set/write-buffer arrays return to arena.
+	// pool recycles squashed chunks, never committed ones: the replay
+	// checker and the directory pipeline may retain those, and they become
+	// garbage once both drop them. A chunk enters the pool only when no
+	// commit request of its is still in flight; all callbacks that can
+	// outlive a squash carry a Gen guard. Across warm machine resets the
+	// pool is Drained, not dropped: chunk structs and Log storage survive,
+	// set/write-buffer arrays return to arena.
 	pool chunk.Pool
-	// retired accumulates committed chunks of the current run when
-	// opts.RetainCommitted is set; the next Reset adopts them into the
-	// pool (nothing reads them in between).
-	retired []*chunk.Chunk
 	// commitReqFree recycles permission-to-commit request records.
 	// Env.Commit consumes its argument synchronously (core.routeCommit
 	// copies what travels onward into the arbiter request), so sendCommit
@@ -220,7 +208,6 @@ func NewBulkProc(id int, env *Env, par Params, opts Opts, ins []workload.Instr) 
 		inflight:    make([]*fetchReq, 0, par.MSHRs),
 	}
 	p.stepFn = p.step
-	p.pool.SigRecycler = env.SigRecycle
 	p.liveSum = env.Sigs()
 	p.inflightSig = env.Sigs()
 	return p
@@ -258,26 +245,11 @@ func (p *BulkProc) Reset(ins []workload.Instr, par Params, opts Opts) {
 	p.cur = nil
 	p.chunkSeq = 0
 	p.storeSeq = 0
-	// Recycle the previous run's committed chunks (retained only when that
-	// run exported no chunk references, see Opts.RetainCommitted), then
-	// drain the whole pool back to cold shapes for cold/warm bit-identity
-	// (see doc). Adopt and Drain leave the same shape, so the order of the
-	// two calls over a chunk is irrelevant.
-	for _, c := range p.retired {
-		p.pool.Adopt(c)
-	}
-	clear(p.retired)
-	p.retired = p.retired[:0]
 	p.pool.Drain()
 	p.privScratch = p.privScratch[:0]
 	p.privBuf.Clear()
 	// The filter signatures are re-drawn rather than Cleared: the new
-	// run's factory may produce a different kind or geometry, and the old
-	// objects go back through the recycler like every dropped chunk sig.
-	if p.env.SigRecycle != nil {
-		p.env.SigRecycle(p.liveSum)
-		p.env.SigRecycle(p.inflightSig)
-	}
+	// run's factory may produce a different kind or geometry.
 	p.liveSum = p.env.Sigs()
 	p.inflightSig = p.env.Sigs()
 	clear(p.inflight)

@@ -166,10 +166,6 @@ func (p *BulkProc) commitReply(ch *chunk.Chunk, granted bool, order uint64) {
 //
 //sim:hotpath
 func (p *BulkProc) applyCommit(ch *chunk.Chunk, order uint64) {
-	if p.env.St.Trace != nil {
-		//lint:alloc debug-only trace formatting, guarded by Trace != nil
-		p.env.St.Trace("t=%d proc%d APPLY chunk=%d order=%d W=%d priv=%d", p.env.Eng.Now(), p.id, ch.Seq, order, ch.WSet.Len(), ch.PrivSet.Len())
-	}
 	ch.State = chunk.Committing
 	ch.CommitOrder = order
 	p.rebuildLiveSum() // ch left the active set; shrink the summary back
@@ -231,11 +227,6 @@ func (p *BulkProc) grantArrived(ch *chunk.Chunk) {
 		}
 	}
 	ch.State = chunk.Committed
-	if p.opts.RetainCommitted {
-		// Park the chunk for cross-run recycling; nothing reads the
-		// retired list until the next Reset adopts it into the pool.
-		p.retired = append(p.retired, ch)
-	}
 	p.slotBusy[ch.Slot] = false
 	if len(p.chunks) > 0 {
 		p.tryRequestCommit(p.chunks[0])
@@ -310,9 +301,6 @@ func (p *BulkProc) squashFrom(idx int, genuine bool) {
 			wasted += ch.Executed
 		}
 		p.OnSquash(len(victims), wasted, genuine)
-	}
-	if p.env.St.Trace != nil {
-		p.env.St.Trace("t=%d proc%d SQUASH from chunk=%d (%d victims)", p.env.Eng.Now(), p.id, victims[0].Seq, len(victims))
 	}
 	oldest := victims[0]
 	p.f.restore(p.checkpoints[oldest.Slot])
@@ -394,10 +382,6 @@ func (p *BulkProc) dropSpecLine(l mem.Line, ch *chunk.Chunk, priv bool) {
 func (p *BulkProc) ApplyCommit(c *directory.Commit) {
 	if c.Proc == p.id {
 		return
-	}
-	if p.env.St.Trace != nil {
-		//lint:alloc debug-only trace formatting, guarded by Trace != nil
-		p.env.St.Trace("t=%d proc%d recv Wsig from proc%d (chunks=%d)", p.env.Eng.Now(), p.id, c.Proc, len(p.chunks))
 	}
 	// Incoming signatures always disambiguate — including stpvt Wpriv
 	// propagations. Genuinely private lines never appear in another

@@ -73,12 +73,6 @@ type Env struct {
 	Sigs   sig.Factory
 	NProcs int
 
-	// SigRecycle, when non-nil, receives the signatures a processor's
-	// chunk pool drops at warm reset (chunk.Pool.SigRecycler); core wires
-	// it to the machine's sig.Recycler so cleared standard Blooms feed
-	// the next run's factory instead of the allocator.
-	SigRecycle func(sig.Signature)
-
 	// Faults optionally injects processor-side faults (internal/fault):
 	// spurious bulk-disambiguation squashes and W-signature aliasing
 	// amplification. nil injects nothing and draws nothing.

@@ -13,21 +13,25 @@
 // near future — the next wheelSize cycles — is a timing wheel: one FIFO
 // slot per cycle, push and pop both O(1), with an occupancy bitmap making
 // "next non-empty cycle" a couple of word scans. Events beyond the wheel
-// horizon (watchdog polls, pre-arbitration timeouts) spill into a
-// monomorphic 4-ary overflow heap of the same inline event records. Both
-// tiers are allocation-free in steady state: slot slices and the heap
-// slice are the pool, and append reuses their capacity. Each record
+// horizon (watchdog polls, pre-arbitration timeouts) spill into the far
+// list: a slice of the same inline event records kept sorted by (time,
+// seq) descending, so the minimum pops from the end. Insertion is a
+// binary search plus a shift; the path is rare (76 of 4,017,852 pushes
+// over the golden cells and the 256-proc radix cell), so nothing faster
+// than the simplest ordered structure pays. Both tiers are
+// allocation-free in steady state: slot slices and the far slice are the
+// pool, and append reuses their capacity. Each record
 // carries either a plain func() or a typed callback + payload word
 // (AtCall/AfterCall), letting hot schedulers avoid per-event closure
 // captures entirely by reusing one callback and threading state through
 // the payload.
 //
 // Ordering across the tiers is exact (see DESIGN.md §16): an event is
-// heap-resident only if its time was ≥ now+wheelSize when scheduled, and
+// far-resident only if its time was ≥ now+wheelSize when scheduled, and
 // wheel-resident only if it was < now+wheelSize. now never decreases, so
-// for any single cycle t every heap event at t was scheduled before every
+// for any single cycle t every far event at t was scheduled before every
 // wheel event at t and carries a smaller sequence number. Draining the
-// heap first on time ties therefore reproduces the exact (time, seq)
+// far list first on time ties therefore reproduces the exact (time, seq)
 // order of a single priority queue, bit for bit.
 package sim
 
@@ -35,13 +39,14 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 )
 
 // Time is a simulation timestamp in processor cycles.
 type Time uint64
 
 // event is one scheduled callback record. Records live inline in the
-// wheel's slot slices and the overflow heap — they are the "pool"; append
+// wheel's slot slices and the far list — they are the "pool"; append
 // reuses the slices' capacity, so steady-state scheduling performs zero
 // allocations.
 type event struct {
@@ -52,16 +57,11 @@ type event struct {
 	arg any       // payload for cb; an interface holding a pointer does not allocate
 }
 
-// arity of the overflow event heap. 4-ary trades slightly more comparisons
-// per sift-down for half the tree depth and much better cache locality
-// than a binary heap; on the overflow queue's depths it measures fastest.
-const arity = 4
-
 // Timing-wheel geometry. wheelSize cycles of lookahead covers every
 // steady-state latency in the machine (hop 6, directory access, off-chip
 // 293, commit backoff ≤ 51, squash penalties); only coarse timers (5000-
 // cycle watchdog polls, 20000+-cycle pre-arbitration timeouts) overflow
-// to the heap. Power of two so slot index and bitmap scans are masks.
+// to the far list. Power of two so slot index and bitmap scans are masks.
 const (
 	wheelBits  = 9
 	wheelSize  = 1 << wheelBits // cycles of O(1) lookahead
@@ -84,10 +84,11 @@ type Engine struct {
 	// undrained events. wcount is the total across all slots.
 	occ    [wheelWords]uint64
 	wcount int
-	// heap is the far-future overflow tier (events ≥ wheelSize cycles
-	// ahead at scheduling time).
-	heap []event
-	rng  *rand.Rand
+	// far is the far-future overflow tier (events ≥ wheelSize cycles
+	// ahead at scheduling time), sorted by (time, seq) descending: the
+	// earliest event is far[len(far)-1].
+	far []event
+	rng *rand.Rand
 	// fired counts events executed, as a cheap progress/livelock metric.
 	fired uint64
 	// limit aborts the run if the clock passes it (0 = no limit).
@@ -156,10 +157,10 @@ func (e *Engine) AtCall(t Time, cb func(any), arg any) {
 func (e *Engine) AfterCall(d Time, cb func(any), arg any) { e.AtCall(e.now+d, cb, arg) }
 
 // Pending reports the number of scheduled events not yet fired.
-func (e *Engine) Pending() int { return e.wcount + len(e.heap) }
+func (e *Engine) Pending() int { return e.wcount + len(e.far) }
 
 // Reset returns the engine to its just-constructed state while retaining
-// the wheel slots' and heap slice's capacity, so a warm machine reuse
+// the wheel slots' and far slice's capacity, so a warm machine reuse
 // (core.Runner) pays no event-queue reallocation. Leftover events are
 // dropped: Run can stop with events still queued (the all-procs-done
 // condition), and a recycled engine must not fire a previous run's
@@ -179,8 +180,8 @@ func (e *Engine) Reset(seed int64) {
 		e.occ[w] = 0
 	}
 	e.wcount = 0
-	clear(e.heap) // release closures/payloads from any undrained events
-	e.heap = e.heap[:0]
+	clear(e.far) // release closures/payloads from any undrained events
+	e.far = e.far[:0]
 	e.now = 0
 	e.seq = 0
 	e.fired = 0
@@ -197,7 +198,7 @@ func (a *event) less(b *event) bool {
 }
 
 // push routes ev to the wheel when it lands within the lookahead window
-// and to the overflow heap otherwise. Wheel insertion is O(1): append to
+// and to the far list otherwise. Wheel insertion is O(1): append to
 // the cycle's FIFO slot and set its occupancy bit.
 //
 //sim:hotpath
@@ -209,25 +210,25 @@ func (e *Engine) push(ev event) {
 		e.wcount++
 		return
 	}
-	e.pushHeap(ev)
+	e.pushFar(ev)
 }
 
-// pushHeap appends ev to the overflow heap and restores the heap property
-// by sifting up.
+// pushFar inserts ev into the far list at its descending (time, seq)
+// position, found by binary search: the first index whose event orders
+// before ev.
 //
 //sim:hotpath
-func (e *Engine) pushHeap(ev event) {
-	h := append(e.heap, ev)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / arity
-		if !h[i].less(&h[parent]) {
-			break
+func (e *Engine) pushFar(ev event) {
+	lo, hi := 0, len(e.far)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if e.far[mid].less(&ev) {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
 	}
-	e.heap = h
+	e.far = slices.Insert(e.far, lo, ev)
 }
 
 // wheelNext returns the earliest cycle with a pending wheel event. It must
@@ -283,7 +284,7 @@ func (e *Engine) popWheel(t Time) event {
 }
 
 // pop removes and returns the earliest event across both tiers. On a time
-// tie the heap wins: a heap-resident event at cycle t was scheduled while
+// tie the far list wins: a far-resident event at cycle t was scheduled while
 // t was beyond the wheel horizon, i.e. before every wheel-resident event
 // at t, so its sequence number is strictly smaller (package comment).
 //
@@ -291,50 +292,24 @@ func (e *Engine) popWheel(t Time) event {
 func (e *Engine) pop() event {
 	if e.wcount > 0 {
 		t := e.wheelNext()
-		if len(e.heap) == 0 || t < e.heap[0].at {
+		if len(e.far) == 0 || t < e.far[len(e.far)-1].at {
 			return e.popWheel(t)
 		}
 	}
-	return e.popHeap()
+	return e.popFar()
 }
 
-// popHeap removes and returns the earliest overflow-heap event. The
-// vacated tail slot is zeroed so the slice does not retain dead closures
+// popFar removes and returns the earliest far-list event, the last one.
+// The vacated slot is zeroed so the slice does not retain dead closures
 // or payloads.
 //
 //sim:hotpath
-func (e *Engine) popHeap() event {
-	h := e.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // release references held by the record
-	h = h[:n]
-	// Sift down.
-	i := 0
-	for {
-		first := i*arity + 1
-		if first >= n {
-			break
-		}
-		best := first
-		last := first + arity
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if h[c].less(&h[best]) {
-				best = c
-			}
-		}
-		if !h[best].less(&h[i]) {
-			break
-		}
-		h[i], h[best] = h[best], h[i]
-		i = best
-	}
-	e.heap = h
-	return top
+func (e *Engine) popFar() event {
+	n := len(e.far) - 1
+	ev := e.far[n]
+	e.far[n] = event{} // release references held by the record
+	e.far = e.far[:n]
+	return ev
 }
 
 // nextAt reports the earliest pending event time across both tiers.
@@ -343,13 +318,13 @@ func (e *Engine) popHeap() event {
 func (e *Engine) nextAt() (Time, bool) {
 	if e.wcount > 0 {
 		t := e.wheelNext()
-		if len(e.heap) > 0 && e.heap[0].at < t {
-			t = e.heap[0].at
+		if n := len(e.far); n > 0 && e.far[n-1].at < t {
+			t = e.far[n-1].at
 		}
 		return t, true
 	}
-	if len(e.heap) > 0 {
-		return e.heap[0].at, true
+	if n := len(e.far); n > 0 {
+		return e.far[n-1].at, true
 	}
 	return 0, false
 }
@@ -359,7 +334,7 @@ func (e *Engine) nextAt() (Time, bool) {
 //
 //sim:hotpath
 func (e *Engine) Step() bool {
-	if e.wcount == 0 && len(e.heap) == 0 {
+	if e.wcount == 0 && len(e.far) == 0 {
 		return false
 	}
 	ev := e.pop()

@@ -71,7 +71,7 @@ echo "== perfbench module (vet + tests) =="
 (cd perfbench && go vet ./... && go test ./...)
 
 echo "== fuzz smoke (checked-in corpus as regression tests) =="
-go test -run 'Fuzz' ./internal/sig ./internal/lineset ./internal/sharerset ./internal/sim ./internal/history
+go test -run 'Fuzz' ./internal/sig ./internal/lineset ./internal/sharerset ./internal/sim ./internal/history ./internal/sweepsrv
 
 echo "== 256-proc scaling smoke =="
 go test -run 'TestBigMachineRadixSmoke' ./internal/core
